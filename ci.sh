@@ -10,23 +10,14 @@ cargo fmt --all --check
 echo "== xtask lint (token-stream static analysis, zero findings)"
 cargo run -q -p xtask -- lint
 
-echo "== analyzer JSON report validates (CHK1101 + CHK1102 + CHK1103)"
+echo "== analyzer JSON report validates (CHK1101)"
 # The machine-readable findings report must itself satisfy the schema
-# the validators publish — CHK1101 covers the findings envelope,
-# CHK1102 the embedded call-graph section (stats arithmetic, edge
-# endpoints, acyclic SCC condensation), CHK1103 the effects section
-# (bit legend, effect-mask monotonicity over call edges, witness-path
-# well-formedness, stats arithmetic). A drifted or truncated report
-# would otherwise gate nothing.
+# CHK1101 publishes for the findings envelope; a drifted or truncated
+# report would otherwise gate nothing. The call-graph and effects
+# sections are checked in memory by the analyzer's own invariant check
+# (golden and self-host tests).
 cargo run -q -p xtask -- lint --json > /tmp/commorder-lint.json
 cargo run -q -p commorder --bin commorder-cli -- check /tmp/commorder-lint.json
-
-echo "== CLI-surfaced analyze report validates (analyze --source --json)"
-# Same validation through the public CLI surface: the report consumers
-# script against must stay in lockstep with the xtask one.
-cargo run -q -p commorder --bin commorder-cli -- analyze --source --json \
-  > /tmp/commorder-analyze-cli.json
-cargo run -q -p commorder --bin commorder-cli -- check /tmp/commorder-analyze-cli.json
 
 echo "== analyzer goldens are fresh (regenerate + git diff)"
 # The byte-frozen fixtures must match what the current analyzer emits;

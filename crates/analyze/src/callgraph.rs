@@ -29,14 +29,14 @@
 //! collision class). Call sites that name no workspace function are
 //! counted as external — recorded, never guessed. The graph carries
 //! three declared seed sets (determinism, hot-path, worker) whose
-//! reachability closures drive the [`crate::hotpath`],
-//! [`crate::concurrency`], and effect-inference passes; the
-//! serializable projection ([`CallGraphReport`]) is emitted in
-//! `analyze --json` and validated by `commorder-check`'s `CHK1102`.
+//! reachability closures drive the [`crate::concurrency`] and
+//! effect-inference passes; the serializable projection
+//! ([`CallGraphReport`]) is emitted in `lint --json` and checked by
+//! [`crate::invariants`].
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::items::{code_indices, in_ranges};
+use crate::items::{call_opens, code_indices, double_colon_at, ident_is, in_ranges, is_punct};
 use crate::layering::cyclic_sccs;
 use crate::lexer::{Token, TokenKind};
 use crate::model::{CallGraphReport, CrateData, FileRole};
@@ -111,24 +111,6 @@ const NON_CALL_KEYWORDS: &[&str] = &[
     "in", "let", "loop", "match", "move", "mut", "pub", "ref", "return", "unsafe", "where",
     "while", "yield",
 ];
-
-fn is_punct(tok: &Token, src: &str, c: char) -> bool {
-    tok.kind == TokenKind::Punct && tok.text(src).len() == 1 && tok.text(src).starts_with(c)
-}
-
-fn ident_is(tok: &Token, src: &str, word: &str) -> bool {
-    tok.kind == TokenKind::Ident && tok.text(src) == word
-}
-
-/// `true` when code indices `at` and `at + 1` form an adjacent `::`.
-fn double_colon_at(src: &str, tokens: &[Token], code: &[usize], at: usize) -> bool {
-    let (Some(&a), Some(&b)) = (code.get(at), code.get(at + 1)) else {
-        return false;
-    };
-    is_punct(&tokens[a], src, ':')
-        && is_punct(&tokens[b], src, ':')
-        && tokens[a].end == tokens[b].start
-}
 
 /// `true` for names a call site could bind: first char lowercase or
 /// `_` (raw-identifier prefixes are stripped first).
@@ -764,7 +746,7 @@ fn extract_sites(
             col: t.col,
         };
         if prev.is_some_and(|p| is_punct(p, src, '.')) {
-            if call_paren_after(src, tokens, code, ci + 1) {
+            if call_opens(src, tokens, code, ci + 1) {
                 let recv = receiver_shape(src, tokens, code, ci);
                 out.push(anchor(Site::Method { name, recv }));
             }
@@ -785,7 +767,7 @@ fn extract_sites(
                 }
             }
             let last_snake = segments.last().is_some_and(|s| is_snake(s));
-            if last_snake && segments.len() >= 2 && call_paren_after(src, tokens, code, j + 1) {
+            if last_snake && segments.len() >= 2 && call_opens(src, tokens, code, j + 1) {
                 out.push(anchor(Site::Path { segments }));
             }
             continue;
@@ -795,45 +777,6 @@ fn extract_sites(
         }
     }
     out
-}
-
-/// `true` when the code tokens at `at` open a call: `(` directly, or a
-/// `::<…>` turbofish followed by `(`.
-fn call_paren_after(src: &str, tokens: &[Token], code: &[usize], at: usize) -> bool {
-    let Some(&k) = code.get(at) else { return false };
-    if is_punct(&tokens[k], src, '(') {
-        return true;
-    }
-    // `::<…>(` — the only other call shape.
-    if !double_colon_at(src, tokens, code, at) {
-        return false;
-    }
-    let Some(&lt) = code.get(at + 2) else {
-        return false;
-    };
-    if !is_punct(&tokens[lt], src, '<') {
-        return false;
-    }
-    let mut depth = 0i64;
-    let mut j = at + 2;
-    while j < code.len() {
-        let t = &tokens[code[j]];
-        if is_punct(t, src, '<') {
-            depth += 1;
-        } else if is_punct(t, src, '>') {
-            let arrow = j > 0 && is_punct(&tokens[code[j - 1]], src, '-');
-            if !arrow {
-                depth -= 1;
-                if depth == 0 {
-                    return code
-                        .get(j + 1)
-                        .is_some_and(|&k| is_punct(&tokens[k], src, '('));
-                }
-            }
-        }
-        j += 1;
-    }
-    false
 }
 
 /// Receiver shape of the method ident at code index `ci` (whose

@@ -22,21 +22,9 @@ use std::collections::BTreeSet;
 use crate::callgraph::CallGraph;
 use crate::codes;
 use crate::findings::{Finding, Severity};
-use crate::items::{code_indices, in_ranges};
+use crate::items::{code_indices, ident_in, ident_is, in_ranges, is_punct};
 use crate::lexer::{Token, TokenKind};
 use crate::model::CrateData;
-
-fn is_punct(tok: &Token, src: &str, c: char) -> bool {
-    tok.kind == TokenKind::Punct && tok.text(src).len() == 1 && tok.text(src).starts_with(c)
-}
-
-fn ident_is(tok: &Token, src: &str, word: &str) -> bool {
-    tok.kind == TokenKind::Ident && tok.text(src) == word
-}
-
-fn ident_in(tok: &Token, src: &str, words: &[&str]) -> bool {
-    tok.kind == TokenKind::Ident && words.contains(&tok.text(src))
-}
 
 /// Token-anchored finding constructor shared by every rule here.
 fn at(code: &'static str, f: &crate::model::FileData, t: &Token, message: String) -> Finding {

@@ -1,4 +1,5 @@
-//! Interprocedural effect inference (`XT1001`–`XT1005`).
+//! Interprocedural effect inference and the rules it drives
+//! (`XT0801`–`XT0804`, `XT1001`–`XT1005`).
 //!
 //! Every function node of the [`CallGraph`] gets a six-bit effect mask
 //! — `allocates`, `locks`, `panics`, `does_io`, `nondeterministic`,
@@ -17,7 +18,7 @@
 //!    callees-first, every member of a component takes the union of
 //!    the component's local bits and all callee masks, so
 //!    `mask[caller] ⊇ mask[callee]` holds over every edge — the
-//!    monotonicity invariant `commorder-check`'s `CHK1103` replays.
+//!    monotonicity invariant [`crate::invariants`] asserts.
 //!
 //! Each inherited bit carries provenance: `via[u][b]` is the first
 //! callee on a *shortest* path from `u` to a local source of bit `b`
@@ -28,6 +29,15 @@
 //!
 //! The findings replace the seed-closure heuristics with inference:
 //!
+//! * `XT0801`–`XT0804` — an allocation source inside a loop body of a
+//!   function reachable from a hot-path seed (`replay`, `consume`,
+//!   `simulate`, `simulate_belady`, `reorder` — see
+//!   `AnalyzerConfig::hot_seed_fns`): container construction and
+//!   `vec!` (`XT0801`), `.collect()`/`.to_vec()` (`XT0802`),
+//!   `.clone()`/`.to_owned()`/`.to_string()` (`XT0803`), `format!`
+//!   (`XT0804`). The paper's economic argument only holds if
+//!   preprocessing stays near-linear, so these loops must not allocate
+//!   per iteration; amortized growth (`push`, `extend`) is no source;
 //! * `XT1001` — a hash-iteration or thread-identity source in a
 //!   function reachable from a determinism seed (clock and
 //!   environment sources stay with the audited `XT0502`/`XT0503`);
@@ -44,8 +54,10 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use crate::callgraph::CallGraph;
 use crate::codes;
 use crate::findings::{Finding, Severity};
-use crate::hotpath::loop_bodies;
-use crate::items::{code_indices, in_ranges};
+use crate::items::{
+    call_opens, code_indices, double_colon_at, ident_in, ident_is, in_ranges, is_punct,
+};
+use crate::layering::sccs;
 use crate::lexer::{Token, TokenKind};
 use crate::model::{CrateData, EffectRow, EffectsReport};
 
@@ -82,12 +94,37 @@ const CONTAINERS: &[&str] = &[
 /// Allocating associated-function names on [`CONTAINERS`].
 const CONSTRUCTORS: &[&str] = &["from", "new", "with_capacity"];
 
+/// Which allocating shape a [`SourceKind::Alloc`] source matched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AllocShape {
+    /// Container construction (`Vec::new`, `Box::new`, …) or `vec!`.
+    Construct,
+    /// Iterator materialization: `.collect()`, `.to_vec()`.
+    Collect,
+    /// Duplication: `.clone()`, `.to_owned()`, `.to_string()`.
+    Clone,
+    /// `format!`.
+    Format,
+}
+
+impl AllocShape {
+    /// The hot-path code (`XT0801`–`XT0804`) this shape reports as.
+    #[must_use]
+    pub fn hot_code(self) -> &'static str {
+        match self {
+            AllocShape::Construct => codes::HOT_ALLOC,
+            AllocShape::Collect => codes::HOT_COLLECT,
+            AllocShape::Clone => codes::HOT_CLONE,
+            AllocShape::Format => codes::HOT_FORMAT,
+        }
+    }
+}
+
 /// What kind of lexical effect source a token matched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SourceKind {
-    /// Container construction, `vec!`/`format!`, `.collect()`,
-    /// `.to_vec()`, `.clone()`, `.to_owned()`, `.to_string()`.
-    Alloc,
+    /// An allocating shape.
+    Alloc(AllocShape),
     /// `.lock()` / `.try_lock()` acquisition.
     Lock,
     /// `panic!` / `unreachable!` / `todo!` / `unimplemented!`.
@@ -111,7 +148,7 @@ impl SourceKind {
     #[must_use]
     pub fn bit(self) -> u32 {
         match self {
-            SourceKind::Alloc => ALLOCATES,
+            SourceKind::Alloc(_) => ALLOCATES,
             SourceKind::Lock => LOCKS,
             SourceKind::PanicMacro => PANICS,
             SourceKind::Io => DOES_IO,
@@ -129,6 +166,8 @@ impl SourceKind {
 pub struct EffectSource {
     /// What matched.
     pub kind: SourceKind,
+    /// Byte offset of the anchor token.
+    pub pos: usize,
     /// 1-based line of the anchor token.
     pub line: u32,
     /// 1-based column of the anchor token.
@@ -151,18 +190,6 @@ pub struct Effects {
     pub via: Vec<[i32; 6]>,
     /// The local sources per node, in body order.
     pub sources: Vec<Vec<EffectSource>>,
-}
-
-fn is_punct(tok: &Token, src: &str, c: char) -> bool {
-    tok.kind == TokenKind::Punct && tok.text(src).len() == 1 && tok.text(src).starts_with(c)
-}
-
-fn ident_is(tok: &Token, src: &str, word: &str) -> bool {
-    tok.kind == TokenKind::Ident && tok.text(src) == word
-}
-
-fn ident_in(tok: &Token, src: &str, words: &[&str]) -> bool {
-    tok.kind == TokenKind::Ident && words.contains(&tok.text(src))
 }
 
 /// Computes the effect lattice: scans every node body for local
@@ -196,7 +223,7 @@ pub fn compute(crates: &[CrateData], graph: &CallGraph) -> Effects {
 
 impl Effects {
     /// The serializable projection consumed by `render_json`: one row
-    /// per effectful node plus the stats `CHK1103` re-derives.
+    /// per effectful node plus its stats.
     #[must_use]
     pub fn to_report(&self) -> EffectsReport {
         let mut rows = Vec::new();
@@ -277,6 +304,7 @@ fn scan_file(
             |sources: &mut [Vec<EffectSource>], kind: SourceKind, at: &Token, what: String| {
                 sources[owner].push(EffectSource {
                     kind,
+                    pos: at.start,
                     line: at.line,
                     col: at.col,
                     col_end: at.col + u32::try_from(at.end - at.start).unwrap_or(0),
@@ -288,8 +316,18 @@ fn scan_file(
             .is_some_and(|&m| is_punct(&tokens[m], src, '!'));
         if next_bang {
             match word {
-                "vec" => push(sources, SourceKind::Alloc, t, "`vec!` construction".into()),
-                "format" => push(sources, SourceKind::Alloc, t, "`format!`".into()),
+                "vec" => push(
+                    sources,
+                    SourceKind::Alloc(AllocShape::Construct),
+                    t,
+                    "`vec!` construction".into(),
+                ),
+                "format" => push(
+                    sources,
+                    SourceKind::Alloc(AllocShape::Format),
+                    t,
+                    "`format!`".into(),
+                ),
                 "panic" | "unreachable" | "todo" | "unimplemented" => {
                     push(sources, SourceKind::PanicMacro, t, format!("`{word}!`"));
                 }
@@ -305,14 +343,18 @@ fn scan_file(
             continue;
         }
         // Path-shaped sources: `Qual::assoc(…)`.
-        if double_colon_then(src, tokens, &code, k) {
+        let assoc_follows = double_colon_at(src, tokens, &code, k + 1)
+            && code
+                .get(k + 3)
+                .is_some_and(|&m| tokens[m].kind == TokenKind::Ident);
+        if assoc_follows {
             let assoc_tok = &tokens[code[k + 3]];
             let assoc = assoc_tok.text(src);
             let opens = call_opens(src, tokens, &code, k + 4);
             if opens {
                 let what = format!("`{word}::{assoc}`");
                 if CONTAINERS.contains(&word) && CONSTRUCTORS.contains(&assoc) {
-                    push(sources, SourceKind::Alloc, t, what);
+                    push(sources, SourceKind::Alloc(AllocShape::Construct), t, what);
                 } else if matches!(word, "Instant" | "SystemTime") && assoc == "now" {
                     push(sources, SourceKind::Clock, t, what);
                 } else if (word == "File" && matches!(assoc, "open" | "create"))
@@ -331,8 +373,13 @@ fn scan_file(
         let opens_call = call_opens(src, tokens, &code, k + 1);
         if after_dot && opens_call {
             match word {
-                "collect" | "to_vec" | "clone" | "to_owned" | "to_string" => {
-                    push(sources, SourceKind::Alloc, t, format!("`.{word}()`"));
+                "collect" | "to_vec" => {
+                    let shape = SourceKind::Alloc(AllocShape::Collect);
+                    push(sources, shape, t, format!("`.{word}()`"));
+                }
+                "clone" | "to_owned" | "to_string" => {
+                    let shape = SourceKind::Alloc(AllocShape::Clone);
+                    push(sources, shape, t, format!("`.{word}()`"));
                 }
                 "lock" | "try_lock" => {
                     push(sources, SourceKind::Lock, t, format!("`.{word}()`"));
@@ -438,54 +485,69 @@ fn for_iterates_hash<'a>(
     None
 }
 
-/// `true` when code index `k` is followed by `::` and an identifier.
-fn double_colon_then(src: &str, tokens: &[Token], code: &[usize], k: usize) -> bool {
-    let (Some(&a), Some(&b), Some(&c)) = (code.get(k + 1), code.get(k + 2), code.get(k + 3)) else {
-        return false;
-    };
-    is_punct(&tokens[a], src, ':')
-        && is_punct(&tokens[b], src, ':')
-        && tokens[a].end == tokens[b].start
-        && tokens[c].kind == TokenKind::Ident
-}
-
-/// `true` when the code tokens at `at` open a call — `(` directly or a
-/// `::<…>` turbofish then `(`.
-fn call_opens(src: &str, tokens: &[Token], code: &[usize], at: usize) -> bool {
-    let Some(&k) = code.get(at) else { return false };
-    if is_punct(&tokens[k], src, '(') {
-        return true;
-    }
-    let (Some(&a), Some(&b), Some(&c)) = (code.get(at), code.get(at + 1), code.get(at + 2)) else {
-        return false;
-    };
-    if !(is_punct(&tokens[a], src, ':')
-        && is_punct(&tokens[b], src, ':')
-        && tokens[a].end == tokens[b].start
-        && is_punct(&tokens[c], src, '<'))
-    {
-        return false;
-    }
-    let mut depth = 0i64;
-    let mut j = at + 2;
-    while j < code.len() {
-        let t = &tokens[code[j]];
-        if is_punct(t, src, '<') {
-            depth += 1;
-        } else if is_punct(t, src, '>') {
-            let arrow = j > 0 && is_punct(&tokens[code[j - 1]], src, '-');
-            if !arrow {
+/// Byte ranges of `for`/`while`/`loop` bodies within `(start, end)`.
+/// Nested loop bodies produce overlapping ranges; membership is what
+/// matters, so overlap is harmless.
+#[must_use]
+fn loop_bodies(src: &str, tokens: &[Token], start: usize, end: usize) -> Vec<(usize, usize)> {
+    let code: Vec<usize> = code_indices(tokens)
+        .into_iter()
+        .filter(|&i| tokens[i].start >= start && tokens[i].start < end)
+        .collect();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < code.len() {
+        let t = &tokens[code[i]];
+        if !ident_in(t, src, &["for", "loop", "while"]) {
+            i += 1;
+            continue;
+        }
+        // The body is the next `{` at paren/bracket depth 0 (closure
+        // braces inside iterator arguments sit behind a paren).
+        let mut depth = 0i64;
+        let mut j = i + 1;
+        let mut open = None;
+        while j < code.len() {
+            let n = &tokens[code[j]];
+            if is_punct(n, src, '(') || is_punct(n, src, '[') {
+                depth += 1;
+            } else if is_punct(n, src, ')') || is_punct(n, src, ']') {
                 depth -= 1;
-                if depth == 0 {
-                    return code
-                        .get(j + 1)
-                        .is_some_and(|&m| is_punct(&tokens[m], src, '('));
+            } else if depth == 0 {
+                if is_punct(n, src, '{') {
+                    open = Some(j);
+                    break;
+                }
+                if is_punct(n, src, ';') {
+                    break; // `for` in a doc example gone wrong; bail
                 }
             }
+            j += 1;
         }
-        j += 1;
+        let Some(open) = open else {
+            i = j.max(i + 1);
+            continue;
+        };
+        let mut brace = 0i64;
+        let mut k = open;
+        let mut body_end = end;
+        while k < code.len() {
+            let n = &tokens[code[k]];
+            if is_punct(n, src, '{') {
+                brace += 1;
+            } else if is_punct(n, src, '}') {
+                brace -= 1;
+                if brace == 0 {
+                    body_end = n.end;
+                    break;
+                }
+            }
+            k += 1;
+        }
+        out.push((tokens[code[open]].start, body_end));
+        i = open + 1; // descend: nested loops get their own ranges
     }
-    false
+    out
 }
 
 /// Closes the local masks over the call edges: Tarjan emits SCCs in
@@ -494,7 +556,7 @@ fn call_opens(src: &str, tokens: &[Token], code: &[usize], at: usize) -> bool {
 /// component's bits and all callee masks — reaches the fixed point.
 fn propagate(local: &[u32], adj: &[Vec<usize>]) -> Vec<u32> {
     let mut mask = local.to_vec();
-    for comp in all_sccs(local.len(), adj) {
+    for comp in sccs(local.len(), adj) {
         let mut acc = 0u32;
         for &u in &comp {
             acc |= mask[u];
@@ -507,74 +569,6 @@ fn propagate(local: &[u32], adj: &[Vec<usize>]) -> Vec<u32> {
         }
     }
     mask
-}
-
-/// Iterative Tarjan over the whole graph, singletons included, in
-/// emission order (each component's callees precede it).
-fn all_sccs(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    #[derive(Clone, Copy)]
-    struct NodeState {
-        index: u32,
-        low: u32,
-        on_stack: bool,
-        visited: bool,
-    }
-    let mut state = vec![
-        NodeState {
-            index: 0,
-            low: 0,
-            on_stack: false,
-            visited: false,
-        };
-        n
-    ];
-    let mut next_index = 0u32;
-    let mut stack = Vec::new();
-    let mut sccs = Vec::new();
-    let mut frames: Vec<(usize, usize)> = Vec::new();
-    for start in 0..n {
-        if state[start].visited {
-            continue;
-        }
-        frames.push((start, 0));
-        while let Some(frame) = frames.last_mut() {
-            let v = frame.0;
-            if frame.1 == 0 {
-                state[v].visited = true;
-                state[v].index = next_index;
-                state[v].low = next_index;
-                next_index += 1;
-                state[v].on_stack = true;
-                stack.push(v);
-            }
-            if let Some(&w) = adj[v].get(frame.1) {
-                frame.1 += 1;
-                if !state[w].visited {
-                    frames.push((w, 0));
-                } else if state[w].on_stack {
-                    state[v].low = state[v].low.min(state[w].index);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    let low = state[v].low;
-                    state[parent].low = state[parent].low.min(low);
-                }
-                if state[v].low == state[v].index {
-                    let mut comp = Vec::new();
-                    while let Some(w) = stack.pop() {
-                        state[w].on_stack = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    sccs.push(comp);
-                }
-            }
-        }
-    }
-    sccs
 }
 
 /// Derives the witness next-hops: for each bit, a multi-source BFS
@@ -641,6 +635,7 @@ pub fn check(
     pure_crates: &BTreeSet<String>,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
+    hot_loop_allocs(crates, graph, effects, &mut findings);
     nondet_on_report_paths(crates, graph, effects, &mut findings);
     alloc_in_peraccess_loops(
         crates,
@@ -665,6 +660,39 @@ fn at(code: &'static str, file: &str, s: &EffectSource, message: String) -> Find
         col_start: s.col,
         col_end: s.col_end,
         message,
+    }
+}
+
+/// `XT0801`–`XT0804`: allocation sources inside the loop bodies of
+/// functions reachable from a hot-path seed.
+fn hot_loop_allocs(
+    crates: &[CrateData],
+    graph: &CallGraph,
+    effects: &Effects,
+    findings: &mut Vec<Finding>,
+) {
+    let reached = graph.reachable(&graph.seeds_hotpath);
+    for (ni, node) in graph.nodes.iter().enumerate() {
+        let Some(seed) = reached[ni] else { continue };
+        let f = &crates[node.crate_idx].files[node.file_idx];
+        let loops = loop_bodies(&f.src, &f.tokens, node.body.0, node.body.1);
+        for s in &effects.sources[ni] {
+            let SourceKind::Alloc(shape) = s.kind else {
+                continue;
+            };
+            if !in_ranges(s.pos, &loops) {
+                continue;
+            }
+            findings.push(at(
+                shape.hot_code(),
+                &f.rel,
+                s,
+                format!(
+                    "{} in a loop of `{}`, reachable from hot-path seed `{}`",
+                    s.what, node.name, graph.nodes[seed].name
+                ),
+            ));
+        }
     }
 }
 

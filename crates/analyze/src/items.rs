@@ -25,12 +25,73 @@ pub fn in_ranges(pos: usize, ranges: &[(usize, usize)]) -> bool {
     ranges.iter().any(|&(s, e)| pos >= s && pos < e)
 }
 
-fn is_punct(tok: &Token, src: &str, c: char) -> bool {
-    tok.kind == TokenKind::Punct && tok.text(src) == c.to_string().as_str()
+/// `true` when `tok` is the single-character punctuation `c`.
+#[must_use]
+pub fn is_punct(tok: &Token, src: &str, c: char) -> bool {
+    tok.kind == TokenKind::Punct && tok.text(src).len() == 1 && tok.text(src).starts_with(c)
 }
 
-fn ident_is(tok: &Token, src: &str, word: &str) -> bool {
+/// `true` when `tok` is the identifier `word`.
+#[must_use]
+pub fn ident_is(tok: &Token, src: &str, word: &str) -> bool {
     tok.kind == TokenKind::Ident && tok.text(src) == word
+}
+
+/// `true` when `tok` is an identifier listed in `words`.
+#[must_use]
+pub fn ident_in(tok: &Token, src: &str, words: &[&str]) -> bool {
+    tok.kind == TokenKind::Ident && words.contains(&tok.text(src))
+}
+
+/// `true` when code indices `at` and `at + 1` form an adjacent `::`.
+#[must_use]
+pub fn double_colon_at(src: &str, tokens: &[Token], code: &[usize], at: usize) -> bool {
+    let (Some(&a), Some(&b)) = (code.get(at), code.get(at + 1)) else {
+        return false;
+    };
+    is_punct(&tokens[a], src, ':')
+        && is_punct(&tokens[b], src, ':')
+        && tokens[a].end == tokens[b].start
+}
+
+/// `true` when the code tokens at `at` open a call: `(` directly, or a
+/// `::<…>` turbofish followed by `(`.
+#[must_use]
+pub fn call_opens(src: &str, tokens: &[Token], code: &[usize], at: usize) -> bool {
+    let Some(&k) = code.get(at) else { return false };
+    if is_punct(&tokens[k], src, '(') {
+        return true;
+    }
+    // `::<…>(` — the only other call shape.
+    if !double_colon_at(src, tokens, code, at) {
+        return false;
+    }
+    let Some(&lt) = code.get(at + 2) else {
+        return false;
+    };
+    if !is_punct(&tokens[lt], src, '<') {
+        return false;
+    }
+    let mut depth = 0i64;
+    let mut j = at + 2;
+    while j < code.len() {
+        let t = &tokens[code[j]];
+        if is_punct(t, src, '<') {
+            depth += 1;
+        } else if is_punct(t, src, '>') {
+            let arrow = j > 0 && is_punct(&tokens[code[j - 1]], src, '-');
+            if !arrow {
+                depth -= 1;
+                if depth == 0 {
+                    return code
+                        .get(j + 1)
+                        .is_some_and(|&k| is_punct(&tokens[k], src, '('));
+                }
+            }
+        }
+        j += 1;
+    }
+    false
 }
 
 /// Byte ranges covered by `#[cfg(test)]`-gated items (the attribute
@@ -323,17 +384,6 @@ pub fn path_refs(src: &str, tokens: &[Token], skip: &[(usize, usize)]) -> Vec<Pa
         });
     }
     out
-}
-
-/// `true` when code indices `at` and `at + 1` are two adjacent `:`
-/// puncts forming `::`.
-fn double_colon_at(src: &str, tokens: &[Token], code: &[usize], at: usize) -> bool {
-    let (Some(&a), Some(&b)) = (code.get(at), code.get(at + 1)) else {
-        return false;
-    };
-    is_punct(&tokens[a], src, ':')
-        && is_punct(&tokens[b], src, ':')
-        && tokens[a].end == tokens[b].start
 }
 
 #[cfg(test)]

@@ -14,11 +14,26 @@ use crate::codes;
 use crate::findings::{Finding, Severity};
 use crate::model::{CrateData, EdgeAnchor};
 
-/// Tarjan's strongly-connected-components algorithm, iterative so deep
-/// graphs cannot overflow the stack. Returns components of size ≥ 2 in
-/// discovery order, members sorted.
+/// Components of size ≥ 2 (the cyclic ones) in discovery order,
+/// members sorted.
 #[must_use]
 pub fn cyclic_sccs(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    sccs(n, adj)
+        .into_iter()
+        .filter(|comp| comp.len() >= 2)
+        .map(|mut comp| {
+            comp.sort_unstable();
+            comp
+        })
+        .collect()
+}
+
+/// Tarjan's strongly-connected-components algorithm, iterative so deep
+/// graphs cannot overflow the stack. Returns every component,
+/// singletons included, in emission order: each component's successors
+/// precede it (reverse topological order of the condensation).
+#[must_use]
+pub fn sccs(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
     #[derive(Clone, Copy)]
     struct NodeState {
         index: u32,
@@ -77,10 +92,7 @@ pub fn cyclic_sccs(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
                             break;
                         }
                     }
-                    if comp.len() >= 2 {
-                        comp.sort_unstable();
-                        sccs.push(comp);
-                    }
+                    sccs.push(comp);
                 }
             }
         }

@@ -21,16 +21,18 @@
 //!    (`XT0601`–`XT0604`);
 //! 5. [`callgraph`] — a workspace-wide symbol table and
 //!    intra-workspace call graph with seeded reachability, feeding
-//! 6. [`hotpath`] — the hot-path allocation lint over loops of
-//!    functions reachable from the simulate/reorder/replay seeds
-//!    (`XT0801`–`XT0804`), and
-//! 7. [`concurrency`] — the concurrency-safety audit of the engine
+//! 6. [`concurrency`] — the concurrency-safety audit of the engine
 //!    crates plus worker-reachability rules (`XT0901`–`XT0905`), and
-//! 8. [`effects`] — interprocedural effect inference: a fixed-point
+//! 7. [`effects`] — interprocedural effect inference: a fixed-point
 //!    bottom-up effect lattice (allocates/locks/panics/does_io/
 //!    nondeterministic/unsafe) over the call-graph SCC condensation
-//!    with shortest-witness provenance, driving the inferred-effect
-//!    rules (`XT1001`–`XT1005`).
+//!    with shortest-witness provenance, driving the hot-path
+//!    allocation lint over loops of functions reachable from the
+//!    simulate/reorder/replay seeds (`XT0801`–`XT0804`) and the
+//!    inferred-effect rules (`XT1001`–`XT1005`).
+//!
+//! [`invariants`] asserts the call graph's and the lattice's contract
+//! on the in-memory report data.
 //!
 //! Audited exceptions live in an allowlist file (one justified
 //! `(code, file)` pair per line); allowlist hygiene is itself checked
@@ -48,7 +50,7 @@ pub mod concurrency;
 pub mod determinism;
 pub mod effects;
 pub mod findings;
-pub mod hotpath;
+pub mod invariants;
 pub mod items;
 pub mod layering;
 pub mod lexer;

@@ -3,14 +3,16 @@
 //!
 //! The fixtures under `fixtures/analyze/` are miniature workspaces that
 //! deliberately violate one rule family each; the goldens under
-//! `fixtures/analyze/golden/` were frozen from `commorder-cli analyze
-//! --source <fixture> --json`. A byte-exact comparison pins message
-//! wording, sort order, anchors, and the JSON framing all at once — the
-//! same framing the `CHK1101` validator in `commorder-check` audits.
+//! `fixtures/analyze/golden/` are the analyzer's JSON report for each
+//! fixture (`render_json`, the output of `xtask lint --json`). A
+//! byte-exact comparison pins message wording, sort order, anchors, and
+//! the JSON framing all at once — the same framing the `CHK1101`
+//! validator in `commorder-check` audits. Every fixture's call graph
+//! and effect lattice must also pass the in-memory invariant check.
 
 use std::path::PathBuf;
 
-use commorder_analyze::{analyze_workspace, AnalyzerConfig};
+use commorder_analyze::{analyze_workspace, invariants, AnalyzerConfig};
 
 /// Workspace-relative fixture root for `name`.
 fn fixture_root(name: &str) -> PathBuf {
@@ -26,6 +28,12 @@ fn fixture_root(name: &str) -> PathBuf {
 fn assert_golden(name: &str) {
     let report = analyze_workspace(&fixture_root(name), &AnalyzerConfig::default())
         .unwrap_or_else(|e| panic!("fixture {name}: {e}"));
+    let (cg, fx) = (report.callgraph.as_ref(), report.effects.as_ref());
+    invariants::check(
+        cg.expect("call graph present"),
+        fx.expect("effects present"),
+    )
+    .unwrap_or_else(|e| panic!("fixture {name} breaks an invariant:\n{e}"));
     let got = report.render_json();
     let golden_path = fixture_root("golden").join(format!("{name}.json"));
     if std::env::var_os("COMMORDER_UPDATE_GOLDEN").is_some_and(|v| v == "1") {

@@ -8,7 +8,7 @@
 
 use std::path::PathBuf;
 
-use commorder_analyze::{analyze_workspace, AnalyzerConfig};
+use commorder_analyze::{analyze_workspace, invariants, AnalyzerConfig};
 
 #[test]
 fn workspace_analyzes_clean() {
@@ -32,16 +32,11 @@ fn selfhost_callgraph_meets_resolution_bar() {
         .as_ref()
         .expect("self-host emits a call graph");
 
-    // Stats invariants the CHK1102 validator also enforces.
-    assert_eq!(
-        g.resolved + g.external,
-        g.call_sites,
-        "every call site is either resolved or external"
-    );
-    assert!(
-        g.ambiguous <= g.resolved,
-        "ambiguous is a subset of resolved"
-    );
+    // The graph's and the lattice's structural contract.
+    let fx = report.effects.as_ref().expect("self-host emits effects");
+    if let Err(e) = invariants::check(g, fx) {
+        panic!("self-host call graph or effects break an invariant:\n{e}");
+    }
 
     // Acceptance bar: ≥96% of resolved intra-workspace call sites bind
     // unambiguously. Receiver typing (fields, params, lets, traits)

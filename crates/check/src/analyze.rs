@@ -1,8 +1,8 @@
 //! Validator for analyzer findings reports (`CHK1101`).
 //!
-//! `cargo run -p xtask -- lint --json` and `commorder-cli analyze
-//! --source --json` emit a findings report with a fixed, line-oriented
-//! shape (one finding object per line, sorted, with header counts).
+//! `cargo run -p xtask -- lint --json` emits a findings report with a
+//! fixed, line-oriented shape (one finding object per line, sorted,
+//! with header counts).
 //! CI pipes that report through this validator before trusting it, so
 //! a half-written file, a schema drift between analyzer versions, or a
 //! hand-edited report fails loudly instead of silently gating nothing.
@@ -75,21 +75,35 @@ pub fn check_analyze_report(contents: &str) -> Vec<Diagnostic> {
         ));
         return out;
     }
-    // The callgraph section follows the findings (violations are
-    // CHK1102), the effects section follows the callgraph (CHK1103),
-    // and the closing frame stays CHK1101.
-    let (after_callgraph, node_count, edges) =
-        crate::callgraph::check_callgraph_section(&lines, after_findings, &mut out);
-    let after_effects = if after_callgraph < lines.len() {
-        crate::effects::check_effects_section(&lines, after_callgraph, node_count, &edges, &mut out)
-    } else {
-        after_callgraph
-    };
-    if after_effects < lines.len() && lines.get(after_effects).map(|l| l.trim()) != Some("}") {
-        out.push(frame_error(
-            after_effects,
-            "report must close with '}'".into(),
-        ));
+    // The callgraph and effects sections follow the findings. Their
+    // contents are asserted on the analyzer's in-memory data
+    // (`commorder_analyze::invariants`), so only their framing is
+    // checked here.
+    let mut at = after_findings;
+    for (name, close) in [("callgraph", "  },"), ("effects", "  }")] {
+        let open = format!("\"{name}\": {{");
+        if lines.get(at).map(|l| l.trim()) != Some(open.as_str()) {
+            out.push(frame_error(
+                at,
+                format!("expected a '{open}' section after the findings"),
+            ));
+            at = lines.len();
+            break;
+        }
+        match lines[at..].iter().position(|l| *l == close) {
+            Some(k) => at += k + 1,
+            None => {
+                out.push(frame_error(
+                    at,
+                    format!("{name} section is not closed with '{close}'"),
+                ));
+                at = lines.len();
+                break;
+            }
+        }
+    }
+    if at < lines.len() && lines[at].trim() != "}" {
+        out.push(frame_error(at, "report must close with '}'".into()));
     }
 
     let mut tally_errors: u64 = 0;
@@ -335,7 +349,7 @@ mod tests {
         let diags = check_analyze_report(&stream);
         assert!(diags
             .iter()
-            .any(|d| d.code == codes::CALLGRAPH_SCHEMA && d.message.contains("callgraph")));
+            .any(|d| d.code == codes::ANALYZE_SCHEMA && d.message.contains("callgraph")));
     }
 
     #[test]

@@ -127,24 +127,17 @@ pub const STREAM_LENGTH: &str = "CHK1002";
 /// Belady next-use array is not monotone-consistent with its trace.
 pub const NEXT_USE: &str = "CHK1003";
 
-/// Analyzer findings report (`xtask lint --json` /
-/// `commorder-cli analyze --source --json`) violates the published
-/// schema: malformed JSON framing, a bad field value, findings out of
-/// sorted order, or header counts that disagree with the finding list.
+/// Analyzer findings report (`xtask lint --json`) violates the
+/// published schema: malformed JSON framing, a bad field value,
+/// findings out of sorted order, or header counts that disagree with
+/// the finding list.
 pub const ANALYZE_SCHEMA: &str = "CHK1101";
-/// Analyzer call-graph section violates its contract: malformed
-/// framing, an edge or seed referencing an undeclared node, unsorted
-/// or duplicated edges, an empty seed set, overlapping SCC
-/// components, a cycle the declared SCCs do not cover, or resolution
-/// stats that do not add up.
-pub const CALLGRAPH_SCHEMA: &str = "CHK1102";
-/// Analyzer effects section violates its contract: malformed framing,
-/// a wrong bit legend, rows out of order or referencing undeclared
-/// nodes, a local mask escaping its effect mask, a witness hop that is
-/// no call edge or whose target lacks the bit, a witness chain that
-/// does not terminate at a local source, an effect mask that shrinks
-/// over a call edge (monotonicity), or stats that do not add up.
-pub const EFFECTS_SCHEMA: &str = "CHK1103";
+
+/// Retired codes: gone from [`CODE_TABLE`] and never to be reused.
+/// `CHK1102` and `CHK1103` re-parsed the analyzer report's call-graph
+/// and effects sections; `commorder-analyze` now asserts the same
+/// invariants on its in-memory data (`invariants::check`).
+pub const RETIRED: &[&str] = &["CHK1102", "CHK1103"];
 
 /// Bench artifact (`xtask bench`) violates the published
 /// `commorder-bench.v2` framing: bad header lines, a malformed machine
@@ -335,14 +328,6 @@ pub const CODE_TABLE: &[CodeInfo] = &[
         title: "analyzer findings report violates the schema",
     },
     CodeInfo {
-        code: CALLGRAPH_SCHEMA,
-        title: "analyzer call-graph section violates its contract",
-    },
-    CodeInfo {
-        code: EFFECTS_SCHEMA,
-        title: "analyzer effects section violates its contract",
-    },
-    CodeInfo {
         code: BENCH_SCHEMA,
         title: "bench artifact violates the commorder-bench schema",
     },
@@ -383,6 +368,7 @@ mod tests {
             assert!(info.code.starts_with("CHK"), "{}", info.code);
             assert!(info.code[3..].chars().all(|c| c.is_ascii_digit()));
             assert!(!info.title.is_empty());
+            assert!(!RETIRED.contains(&info.code), "{} is retired", info.code);
         }
     }
 

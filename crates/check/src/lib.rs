@@ -38,10 +38,8 @@
 
 pub mod analyze;
 pub mod bench;
-pub mod callgraph;
 pub mod codes;
 pub mod diag;
-pub mod effects;
 pub mod ingest;
 pub mod matrix;
 pub mod perm;

@@ -96,9 +96,11 @@ impl Histogram {
     /// Value at quantile `q` (clamped to `[0, 1]`); 0 when empty.
     ///
     /// Resolution is one power-of-two bucket: the returned value is the
-    /// lower bound of the bucket holding the `ceil(q * count)`-th
+    /// upper edge of the bucket holding the `ceil(q * count)`-th
     /// observation, clamped to the exact observed `[min, max]` range (so
     /// a single-sample histogram returns that sample at every quantile).
+    /// It never understates the exact quantile and overstates it by at
+    /// most a factor of two.
     /// Bucket counts accumulate in 128-bit arithmetic, so saturated
     /// (`u64::MAX`) buckets cannot overflow the scan.
     #[must_use]
@@ -113,12 +115,8 @@ impl Histogram {
         for (i, &bucket) in self.buckets.iter().enumerate() {
             cum += u128::from(bucket);
             if cum >= u128::from(rank) {
-                let lower_bound = if i == 0 {
-                    0.0
-                } else {
-                    (i as f64).exp2() * 1e-9
-                };
-                return lower_bound.clamp(self.min, self.max);
+                let upper_edge = ((i + 1) as f64).exp2() * 1e-9;
+                return upper_edge.clamp(self.min, self.max);
             }
         }
         self.max
@@ -661,6 +659,59 @@ mod tests {
         assert!(p50 >= h.min && p99 <= h.max);
         // Bucket resolution is a factor of two.
         assert!((250e-6..=1000e-6).contains(&p50), "p50={p50}");
+    }
+
+    #[test]
+    fn quantiles_bracket_the_exact_nearest_rank_values() {
+        // Seeded log-uniform samples between 1 µs and 1 s, plus a
+        // heavy-tailed set whose mean sits far above its median.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut uniform = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut sets: Vec<Vec<f64>> = [1usize, 2, 7, 100, 1000, 5000]
+            .iter()
+            .map(|&n| (0..n).map(|_| 10f64.powf(-6.0 + 6.0 * uniform())).collect())
+            .collect();
+        sets.push(
+            (0..400)
+                .map(|i| {
+                    if i % 10 == 0 {
+                        0.9 + 0.07 * uniform()
+                    } else {
+                        0.3 + 0.2 * uniform()
+                    }
+                })
+                .collect(),
+        );
+        for samples in sets {
+            let mut h = Histogram::default();
+            for &v in &samples {
+                h.add(v);
+            }
+            let mut sorted = samples.clone();
+            sorted.sort_by(f64::total_cmp);
+            let (p50, p95, p99) = (h.p50(), h.p95(), h.p99());
+            assert!(
+                h.min <= p50 && p50 <= p95 && p95 <= p99 && p99 <= h.max,
+                "n={}: min={} p50={p50} p95={p95} p99={p99} max={}",
+                samples.len(),
+                h.min,
+                h.max
+            );
+            for (q, got) in [(0.50, p50), (0.95, p95), (0.99, p99)] {
+                let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+                let exact = sorted[rank - 1];
+                assert!(
+                    exact <= got && got <= 2.0 * exact,
+                    "n={} q={q}: reported {got} vs exact {exact}",
+                    samples.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -160,31 +160,6 @@ impl Dendrogram {
     }
 }
 
-/// How [`detect_with`] splits the graph into independently aggregated
-/// shards before modularity aggregation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardPolicy {
-    /// Shard by connected component. Merges never cross a component
-    /// boundary and the only global coupling in the gain formula is the
-    /// constant `total_m`, so per-component aggregation reproduces the
-    /// global sweep **byte-for-byte** — this is the default, and the
-    /// serial output is unchanged from pre-sharding releases.
-    #[default]
-    Connectivity,
-    /// Pre-shard with synchronous (Jacobi) label propagation, then
-    /// aggregate each label class independently, ignoring cross-shard
-    /// edges as merge candidates (they still count toward vertex
-    /// strength and `total_m`). The output differs from the global
-    /// sweep but is deterministic and thread-count-invariant — this is
-    /// the policy that parallelizes single-component graphs (social
-    /// networks) at the mega corpus tier.
-    LabelProp {
-        /// Maximum propagation rounds (each round is one synchronous
-        /// update of every vertex; the loop exits early on fixpoint).
-        rounds: u32,
-    },
-}
-
 /// Configuration for [`detect`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectionConfig {
@@ -195,8 +170,6 @@ pub struct DetectionConfig {
     /// RABBIT incremental pass; further sweeps merge surviving
     /// aggregates Louvain-style until quiescent).
     pub max_passes: u32,
-    /// How the graph is split into independently aggregated shards.
-    pub shard: ShardPolicy,
 }
 
 impl Default for DetectionConfig {
@@ -204,7 +177,6 @@ impl Default for DetectionConfig {
         DetectionConfig {
             resolution: 1.0,
             max_passes: 16,
-            shard: ShardPolicy::Connectivity,
         }
     }
 }
@@ -223,8 +195,8 @@ pub fn detect(a: &CsrMatrix, config: DetectionConfig) -> Result<Dendrogram, Spar
 
 /// [`detect`] with shard aggregation fanned out over `engine`.
 ///
-/// The graph is split into shards per [`DetectionConfig::shard`]; each
-/// shard is aggregated independently (one [`Engine::map`] job per shard
+/// The graph is split into shards by connected component; each shard
+/// is aggregated independently (one [`Engine::map`] job per shard
 /// when the engine is parallel and more than one shard exists) and the
 /// per-shard merge logs are replayed into one dendrogram. The result is
 /// a pure function of `(a, config)` — never of the thread count: shard
@@ -254,8 +226,10 @@ pub fn detect_with(
 
     // `strength[v]` is the summed weight of edges incident to v (all of
     // them — cross-shard edges included); `total_m` the summed weight of
-    // all edges (each undirected edge once). Both are global under every
-    // shard policy, which is what keeps Connectivity sharding exact.
+    // all edges (each undirected edge once). Both are global, which is
+    // what keeps connectivity sharding exact: merges never cross a
+    // component boundary, so per-component aggregation reproduces the
+    // global sweep byte-for-byte.
     let strength: Vec<f64> = (0..sym.n_rows())
         .map(|v| {
             let (_, vals) = sym.row(v);
@@ -274,12 +248,12 @@ pub fn detect_with(
 
     let shards = {
         let _shard_span = obs::span!("community.islands");
-        shard_members(&sym, config.shard, engine)?
+        shard_members(&sym)?
     };
     obs::counter!("reorder.community.shards", shards.len() as u64);
 
     // Branch on the shard count alone (it is a pure function of the
-    // matrix under both policies), so the span layout — and therefore a
+    // matrix), so the span layout — and therefore a
     // folded-flamegraph export — is identical at every thread count.
     let outcomes: Vec<Vec<(u32, u32)>> = if shards.len() > 1 {
         engine.map(&shards, |_, members| {
@@ -314,18 +288,11 @@ pub fn detect_with(
     })
 }
 
-/// Splits the vertex set into shards per `policy` and returns the member
-/// lists, each ascending, in deterministic first-occurrence order.
-fn shard_members(
-    sym: &CsrMatrix,
-    policy: ShardPolicy,
-    engine: &Engine,
-) -> Result<Vec<Vec<u32>>, SparseError> {
+/// Splits the vertex set into its connected components and returns the
+/// member lists, each ascending, in deterministic first-occurrence order.
+fn shard_members(sym: &CsrMatrix) -> Result<Vec<Vec<u32>>, SparseError> {
     let n = sym.n_rows();
-    let labels: Vec<u32> = match policy {
-        ShardPolicy::Connectivity => ops::connected_components(sym)?.0,
-        ShardPolicy::LabelProp { rounds } => labelprop_labels(sym, rounds, engine),
-    };
+    let labels = ops::connected_components(sym)?.0;
     let mut shard_of_label = vec![NONE; n as usize];
     let mut shards: Vec<Vec<u32>> = Vec::new();
     for v in 0..n {
@@ -339,70 +306,12 @@ fn shard_members(
     Ok(shards)
 }
 
-/// Synchronous (Jacobi) label propagation: every vertex simultaneously
-/// adopts the most frequent label among its neighbours (ties to the
-/// smallest label), for up to `rounds` rounds or until fixpoint. Each
-/// round is a pure function of the previous label vector, computed in
-/// fixed vertex-range chunks, so the result is identical at any thread
-/// count.
-fn labelprop_labels(sym: &CsrMatrix, rounds: u32, engine: &Engine) -> Vec<u32> {
-    let n = sym.n_rows() as usize;
-    let mut labels: Vec<u32> = (0..n as u32).collect();
-    if n == 0 {
-        return labels;
-    }
-    let chunks = crate::par::fixed_chunks_u32(n, VERTICES_PER_CHUNK);
-    for _ in 0..rounds {
-        let sweep = |&(start, end): &(u32, u32)| -> Vec<u32> {
-            let mut out = Vec::with_capacity((end - start) as usize);
-            let mut freq: Vec<u32> = Vec::new();
-            for v in start..end {
-                let (cols, _) = sym.row(v);
-                if cols.is_empty() {
-                    out.push(labels[v as usize]);
-                    continue;
-                }
-                freq.clear();
-                freq.extend(cols.iter().map(|&c| labels[c as usize]));
-                freq.sort_unstable();
-                let mut best = freq[0];
-                let mut best_len = 0usize;
-                let mut i = 0usize;
-                while i < freq.len() {
-                    let run = freq[i..].iter().take_while(|&&x| x == freq[i]).count();
-                    if run > best_len {
-                        best_len = run;
-                        best = freq[i];
-                    }
-                    i += run;
-                }
-                out.push(best);
-            }
-            out
-        };
-        let segments: Vec<Vec<u32>> = if chunks.len() > 1 {
-            engine.map(&chunks, |_, range| sweep(range))
-        } else {
-            chunks.iter().map(sweep).collect()
-        };
-        let mut next = Vec::with_capacity(n);
-        for segment in segments {
-            next.extend_from_slice(&segment);
-        }
-        if next == labels {
-            break;
-        }
-        labels = next;
-    }
-    labels
-}
-
 /// Modularity aggregation restricted to one shard: the serial RABBIT
 /// sweep (increasing-strength visit order, best-positive-gain merge,
 /// smallest-ID tie-break, Louvain-style re-sweeps until quiescent) run
-/// over `members` only. Cross-shard neighbours are not merge candidates;
-/// under [`ShardPolicy::Connectivity`] none exist, which makes this
-/// bitwise-equal to the historical global sweep. Returns the merge log
+/// over `members` only. Shards are connected components, so no
+/// neighbour lies outside the shard, which makes this bitwise-equal to
+/// the historical global sweep. Returns the merge log
 /// `(child, parent)` in chronological order.
 fn aggregate_shard(
     sym: &CsrMatrix,
@@ -528,10 +437,6 @@ fn aggregate_shard(
     }
     merges
 }
-
-/// Minimum vertices per label-propagation sweep chunk: below this the
-/// sweep is cheaper than a dispatch, and the single chunk stays inline.
-const VERTICES_PER_CHUNK: usize = 4096;
 
 /// Minimum dendrogram roots per DFS-flattening chunk.
 const ROOTS_PER_CHUNK: usize = 1024;

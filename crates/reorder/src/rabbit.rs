@@ -278,48 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn rabbit_emits_phase_spans_and_counters() {
-        // The only telemetry-installing test in this binary (the obs
-        // dispatcher is process-global).
-        let _serial = obs::tests_serial();
-        let messy = scrambled_sbm();
-        let baseline = Rabbit::new().run(&messy).unwrap();
-        let registry = std::sync::Arc::new(obs::Registry::new());
-        let guard = obs::install(registry.clone());
-        let observed = Rabbit::new().run(&messy).unwrap();
-        drop(guard);
-        assert_eq!(
-            observed, baseline,
-            "telemetry must not change the reordering"
-        );
-        assert_eq!(
-            registry.span("reorder.rabbit").map(|s| s.count),
-            Some(1),
-            "root span"
-        );
-        let detect = registry
-            .span("reorder.rabbit/community.detect")
-            .expect("detect nests under rabbit");
-        assert_eq!(detect.count, 1);
-        let passes = registry.counter("reorder.community.passes");
-        assert!(passes >= 1, "at least one aggregation sweep");
-        assert_eq!(
-            registry
-                .span("reorder.rabbit/community.detect/community.pass")
-                .map(|s| s.count),
-            Some(passes),
-            "one pass span per counted pass"
-        );
-        assert!(registry.counter("reorder.community.merges") > 0);
-        assert_eq!(
-            registry
-                .span("reorder.rabbit/rabbit.order")
-                .map(|s| s.count),
-            Some(1)
-        );
-    }
-
-    #[test]
     fn rabbit_name_and_determinism() {
         let messy = scrambled_sbm();
         let r1 = Rabbit::new().reorder(&messy).unwrap();

@@ -10,13 +10,10 @@
 //! validate artifacts byte-by-byte (`CHK1201`/`CHK1202`) and so
 //! `git diff` over committed artifacts stays line-per-fact readable.
 //!
-//! [`BenchReport::parse`] reads v2 artifacts back and also accepts the
-//! two retired v1 schemas (`bench-analyze.v1`, `bench-reorder.v1`) for
-//! one release, mapping their flat keys onto the v2 metric names so
-//! `--compare` can gate against a baseline captured before the
-//! migration. [`compare`] implements the tolerance-banded regression
-//! gate: throughput metrics may not drop, cost metrics may not grow,
-//! and result fingerprints may not drift at all.
+//! [`BenchReport::parse`] reads v2 artifacts back. [`compare`]
+//! implements the tolerance-banded regression gate: throughput metrics
+//! may not drop, cost metrics may not grow, and result fingerprints may
+//! not drift at all.
 
 use std::fmt::Write as _;
 
@@ -138,9 +135,8 @@ impl Machine {
         }
     }
 
-    /// Placeholder identity used when re-reading a v1 artifact, which
-    /// carried no machine record. Never triggers a hardware-drift
-    /// warning in [`compare`].
+    /// Fixed placeholder identity, for artifacts whose bytes must not
+    /// depend on the host (tests, fixtures).
     #[must_use]
     pub fn unknown() -> Self {
         Machine {
@@ -264,10 +260,7 @@ impl BenchReport {
         out
     }
 
-    /// Parses an artifact in any supported schema: `commorder-bench.v2`
-    /// natively, plus the retired `bench-analyze.v1` and
-    /// `bench-reorder.v1` flat formats (kept for one release so a
-    /// pre-migration baseline still gates).
+    /// Parses a `commorder-bench.v2` artifact.
     pub fn parse(contents: &str) -> Result<Self, String> {
         let schema = contents
             .lines()
@@ -275,8 +268,6 @@ impl BenchReport {
             .ok_or_else(|| "artifact declares no \"schema\" field".to_string())?;
         match schema.as_str() {
             SCHEMA_V2 => parse_v2(contents),
-            "bench-analyze.v1" => parse_v1_analyze(contents),
-            "bench-reorder.v1" => parse_v1_reorder(contents),
             other => Err(format!("unsupported bench schema {other:?}")),
         }
     }
@@ -397,86 +388,6 @@ fn parse_v2(contents: &str) -> Result<BenchReport, String> {
     })
 }
 
-/// Maps the retired `bench-analyze.v1` flat keys onto the v2 metric
-/// names `xtask bench` emits today, so old and new artifacts compare
-/// directly.
-fn parse_v1_analyze(contents: &str) -> Result<BenchReport, String> {
-    let mut report = BenchReport {
-        bench: "analyze".to_string(),
-        machine: Machine::unknown(),
-        fingerprints: Vec::new(),
-        metrics: Vec::new(),
-    };
-    for line in contents.lines() {
-        if let Some(v) = num_field(line, "tokens_per_second") {
-            report.metric("analyze.lex_tokens_per_second", v, "tokens/s", true);
-        }
-        if let Some(v) = num_field(line, "selfhost_seconds") {
-            report.metric("analyze.selfhost_seconds", v, "seconds", false);
-        }
-    }
-    if report.metrics.is_empty() {
-        return Err("v1 analyze artifact carries no recognised metrics".to_string());
-    }
-    Ok(report)
-}
-
-/// Maps the retired `bench-reorder.v1` nested format onto v2 names:
-/// per-technique permutation fingerprints, per-thread throughput and
-/// peak-RSS metrics, and the widest-vs-serial speedup.
-fn parse_v1_reorder(contents: &str) -> Result<BenchReport, String> {
-    let mut report = BenchReport {
-        bench: "reorder".to_string(),
-        machine: Machine::unknown(),
-        fingerprints: Vec::new(),
-        metrics: Vec::new(),
-    };
-    let mut tech = String::new();
-    for line in contents.lines() {
-        if let Some(v) = num_field(line, "generate_seconds") {
-            report.metric("reorder.generate_seconds", v, "seconds", false);
-        }
-        if let Some(hash) = hex_field(line, "permutation_fnv1a") {
-            tech = str_field(line, "name")
-                .ok_or("technique block has no name")?
-                .to_lowercase();
-            report.fingerprint(&format!("permutation.{tech}"), hash);
-        }
-        if let Some(v) = num_field(line, "speedup_widest_vs_serial") {
-            report.metric(
-                &format!("reorder.{tech}.speedup_widest_vs_serial"),
-                v,
-                "ratio",
-                true,
-            );
-        }
-        if let (Some(threads), Some(medges)) = (
-            num_field(line, "threads"),
-            num_field(line, "medges_per_second"),
-        ) {
-            let t = threads as u64;
-            report.metric(
-                &format!("reorder.{tech}.t{t}.medges_per_second"),
-                medges,
-                "Medges/s",
-                true,
-            );
-            if let Some(rss) = num_field(line, "peak_rss_kb") {
-                report.metric(
-                    &format!("reorder.{tech}.t{t}.peak_rss_kb"),
-                    rss,
-                    "kB",
-                    false,
-                );
-            }
-        }
-    }
-    if report.fingerprints.is_empty() {
-        return Err("v1 reorder artifact carries no technique blocks".to_string());
-    }
-    Ok(report)
-}
-
 /// Outcome of comparing a new bench report against a baseline.
 #[derive(Debug, Default)]
 pub struct CompareOutcome {
@@ -510,10 +421,7 @@ impl CompareOutcome {
 pub fn compare(old: &BenchReport, new: &BenchReport, tolerance: f64) -> CompareOutcome {
     let mut out = CompareOutcome::default();
     let bench = &new.bench;
-    if old.machine.cpu != "unknown"
-        && new.machine.cpu != "unknown"
-        && old.machine.fingerprint() != new.machine.fingerprint()
-    {
+    if old.machine.fingerprint() != new.machine.fingerprint() {
         out.warnings.push(format!(
             "{bench}: machine changed ({} / {} threads -> {} / {} threads); \
              metric deltas may reflect hardware, not code",
@@ -707,67 +615,6 @@ mod tests {
         let outcome = compare(&old, &new, 0.30);
         assert!(outcome.is_pass());
         assert!(outcome.warnings.iter().any(|w| w.contains("machine")));
-        // A v1-derived unknown machine never warns.
-        let mut v1 = sample();
-        v1.machine = Machine::unknown();
-        assert!(compare(&v1, &old, 0.30).warnings.is_empty());
-    }
-
-    #[test]
-    fn v1_analyze_artifacts_map_onto_v2_names() {
-        let v1 = concat!(
-            "{\n",
-            "  \"schema\": \"bench-analyze.v1\",\n",
-            "  \"files\": 120,\n",
-            "  \"bytes\": 1048576,\n",
-            "  \"tokens\": 400000,\n",
-            "  \"lex_seconds\": 0.08,\n",
-            "  \"tokens_per_second\": 5000000,\n",
-            "  \"selfhost_seconds\": 0.5,\n",
-            "  \"findings\": 0\n",
-            "}\n",
-        );
-        let report = BenchReport::parse(v1).expect("v1 analyze parses");
-        assert_eq!(report.bench, "analyze");
-        assert_eq!(report.machine.cpu, "unknown");
-        assert_eq!(report.metrics.len(), 2);
-        assert_eq!(report.metrics[0].name, "analyze.lex_tokens_per_second");
-        assert!((report.metrics[0].value - 5_000_000.0).abs() < 1e-6);
-        assert_eq!(report.metrics[1].name, "analyze.selfhost_seconds");
-        assert!(!report.metrics[1].higher_is_better);
-    }
-
-    #[test]
-    fn v1_reorder_artifacts_map_onto_v2_names() {
-        let v1 = concat!(
-            "{\n",
-            "  \"schema\": \"bench-reorder.v1\",\n",
-            "  \"entry\": \"mega-kmer-chain-4m\",\n",
-            "  \"rows\": 4000000,\n",
-            "  \"nnz\": 12000000,\n",
-            "  \"generate_seconds\": 2.5,\n",
-            "  \"techniques\": [\n",
-            "    {\"name\": \"RABBIT\", \"permutation_fnv1a\": \"0123456789abcdef\", \
-             \"speedup_widest_vs_serial\": 3.1, \"runs\": [\n",
-            "        {\"threads\": 1, \"seconds\": 4.0, \"medges_per_second\": 3.0, \
-             \"peak_rss_kb\": 500000},\n",
-            "        {\"threads\": 8, \"seconds\": 1.3, \"medges_per_second\": 9.3, \
-             \"peak_rss_kb\": 600000}\n",
-            "      ]\n",
-            "    }\n",
-            "  ]\n",
-            "}\n",
-        );
-        let report = BenchReport::parse(v1).expect("v1 reorder parses");
-        assert_eq!(report.bench, "reorder");
-        assert_eq!(report.fingerprints.len(), 1);
-        assert_eq!(report.fingerprints[0].name, "permutation.rabbit");
-        assert_eq!(report.fingerprints[0].value, 0x0123_4567_89ab_cdef);
-        let names: Vec<&str> = report.metrics.iter().map(|m| m.name.as_str()).collect();
-        assert!(names.contains(&"reorder.generate_seconds"));
-        assert!(names.contains(&"reorder.rabbit.speedup_widest_vs_serial"));
-        assert!(names.contains(&"reorder.rabbit.t1.medges_per_second"));
-        assert!(names.contains(&"reorder.rabbit.t8.peak_rss_kb"));
     }
 
     #[test]

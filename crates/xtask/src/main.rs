@@ -209,25 +209,22 @@ fn run_bench_task(root: &Path, args: &[String]) -> ExitCode {
     }
 }
 
-/// Gates the repo-root artifacts against baselines in `old_dir`
-/// (either at its top level or under a legacy `results/` subdirectory)
-/// and fails on any regression. Comparing nothing at all also fails —
+/// Gates the repo-root artifacts against baselines in `old_dir` and
+/// fails on any regression. Comparing nothing at all also fails —
 /// a gate that silently gates nothing is worse than no gate.
 fn compare_gate(root: &Path, old_dir: &Path, tolerance: f64) -> ExitCode {
     let mut regressions = 0usize;
     let mut compared = 0usize;
     for name in BENCH_NAMES {
         let file = format!("BENCH_{name}.json");
-        let Some(old_path) = [old_dir.join(&file), old_dir.join("results").join(&file)]
-            .into_iter()
-            .find(|p| p.is_file())
-        else {
+        let old_path = old_dir.join(&file);
+        if !old_path.is_file() {
             eprintln!(
                 "xtask bench: no baseline for {name} in {}; skipped",
                 old_dir.display()
             );
             continue;
-        };
+        }
         let new_path = root.join(&file);
         let pair = fs::read_to_string(&old_path)
             .and_then(|old| fs::read_to_string(&new_path).map(|new| (old, new)));
