@@ -46,54 +46,6 @@ echo "== telemetry stream validates (CHK09xx)"
 cargo run --release -q -p commorder --bin commorder-cli -- \
   check /tmp/commorder-suite-smoke.jsonl
 
-echo "== unified bench harness (xtask bench --quick) + CHK12xx validation"
-# One driver, three schema-versioned artifacts at the repo root:
-# BENCH_analyze.json (lexer throughput + self-host analysis),
-# BENCH_pipeline.json (trace-gen and LRU/PLRU/Belady simulated
-# accesses/s, SpGEMM throughput + accumulator peaks, suite wall time,
-# peak RSS) and BENCH_reorder.json
-# (engine-parallel RABBIT / RABBIT++ / BOBA throughput; the run fails
-# if the permutation fingerprint drifts across thread counts). --quick
-# shrinks the inputs to CI scale; every artifact must pass the
-# CHK1201/CHK1202 schema validators before it can gate anything.
-cargo run --release -q -p xtask -- bench --quick
-for b in BENCH_analyze.json BENCH_pipeline.json BENCH_reorder.json; do
-  test -s "$b"
-  cargo run --release -q -p commorder --bin commorder-cli -- check "$b"
-done
-
-echo "== SpGEMM metrics present in the pipeline bench artifact"
-# The workload-layer SpGEMM leg must land its throughput and
-# accumulator-peak rows in BENCH_pipeline.json; a silently dropped leg
-# would pass the schema validators (they check rows, not coverage).
-grep -q '"pipeline.spgemm_lru_accesses_per_second"' BENCH_pipeline.json
-grep -q '"pipeline.spgemm_cluster_acc_peak_elements"' BENCH_pipeline.json
-
-echo "== effect-pass metric present in the analyze bench artifact"
-# Same coverage guard for the interprocedural effect-inference leg: the
-# schema validators accept any well-formed metric set, so the row's
-# presence is asserted by name.
-grep -q '"analyze.effect_functions_per_second"' BENCH_analyze.json
-
-echo "== regression gate (self-compare passes, injected regression fails)"
-# The gate must accept the run it just produced and reject a doctored
-# baseline: bump the baseline's lexer throughput to 9e9 tokens/s and
-# the fresh run is a >30% regression against it, so --compare must
-# exit nonzero. A gate that cannot fail gates nothing.
-rm -rf /tmp/commorder-bench-baseline
-mkdir -p /tmp/commorder-bench-baseline
-cp BENCH_analyze.json BENCH_pipeline.json BENCH_reorder.json \
-  /tmp/commorder-bench-baseline/
-cargo run --release -q -p xtask -- bench --no-run \
-  --compare /tmp/commorder-bench-baseline
-sed -i -E 's/("analyze\.lex_tokens_per_second","value":)[0-9.eE+-]+/\19e9/' \
-  /tmp/commorder-bench-baseline/BENCH_analyze.json
-if cargo run --release -q -p xtask -- bench --no-run \
-  --compare /tmp/commorder-bench-baseline; then
-  echo "regression gate accepted an injected 9e9 baseline" >&2
-  exit 1
-fi
-
 echo "== profile --flame determinism (byte-identical at 1 vs 4 threads)"
 # The folded flamegraph is count-based (spans entered, not wall time),
 # so the export must be byte-identical regardless of engine width.

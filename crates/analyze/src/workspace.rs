@@ -233,15 +233,6 @@ pub fn prune_allowlist(text: &str, stale_lines: &BTreeSet<u32>) -> String {
     out
 }
 
-/// Discovers and lexes the workspace crates without running any pass —
-/// the entry point `xtask bench` uses to time the semantic passes in
-/// isolation. `Err` mirrors [`analyze_workspace`]'s discovery errors.
-pub fn load_crates(root: &Path) -> Result<Vec<CrateData>, String> {
-    let root_manifest = fs::read_to_string(root.join("Cargo.toml"))
-        .map_err(|e| format!("cannot read {}: {e}", root.join("Cargo.toml").display()))?;
-    discover(root, &root_manifest)
-}
-
 /// `true` when a manifest opts into `[lints] workspace = true`.
 fn has_lints_opt_in(manifest: &str) -> bool {
     manifest

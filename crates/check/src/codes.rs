@@ -17,7 +17,7 @@
 //! | CHK09xx | Telemetry JSONL streams                 |
 //! | CHK10xx | Streaming trace sources and next-use    |
 //! | CHK11xx | Analyzer (`XT`) findings reports        |
-//! | CHK12xx | Bench artifacts and profile invariants  |
+//! | CHK12xx | Profile invariants (span self-time)     |
 
 /// One row of the code table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,22 +136,16 @@ pub const ANALYZE_SCHEMA: &str = "CHK1101";
 /// Retired codes: gone from [`CODE_TABLE`] and never to be reused.
 /// `CHK1102` and `CHK1103` re-parsed the analyzer report's call-graph
 /// and effects sections; `commorder-analyze` now asserts the same
-/// invariants on its in-memory data (`invariants::check`).
-pub const RETIRED: &[&str] = &["CHK1102", "CHK1103"];
+/// invariants on its in-memory data (`invariants::check`). `CHK1201`
+/// and `CHK1202` validated the artifacts of the retired in-tree bench
+/// driver, whose result fingerprints are now pinned by tier-1 tests.
+/// `CHK1204` audited histogram shape; `commorder-obs` asserts the same
+/// invariants on the real `Histogram` in its own tests.
+pub const RETIRED: &[&str] = &["CHK1102", "CHK1103", "CHK1201", "CHK1202", "CHK1204"];
 
-/// Bench artifact (`xtask bench`) violates the published
-/// `commorder-bench.v2` framing: bad header lines, a malformed machine
-/// object or fingerprint row, or an empty metric list.
-pub const BENCH_SCHEMA: &str = "CHK1201";
-/// Bench metric row is invalid: wrong key sequence, unsorted or
-/// duplicated names, a non-finite value, or an empty unit.
-pub const BENCH_METRIC: &str = "CHK1202";
 /// Exclusive self-time invariant violated: the summed inclusive time of
 /// a span path's direct children exceeds the path's own inclusive time.
 pub const SELF_TIME: &str = "CHK1203";
-/// Histogram shape invariant violated: bucket counts disagree with the
-/// total, quantiles are non-monotone, or min/max are inconsistent.
-pub const HIST_SHAPE: &str = "CHK1204";
 
 /// Every published code with its meaning, in code order.
 pub const CODE_TABLE: &[CodeInfo] = &[
@@ -328,20 +322,8 @@ pub const CODE_TABLE: &[CodeInfo] = &[
         title: "analyzer findings report violates the schema",
     },
     CodeInfo {
-        code: BENCH_SCHEMA,
-        title: "bench artifact violates the commorder-bench schema",
-    },
-    CodeInfo {
-        code: BENCH_METRIC,
-        title: "bench metric row is invalid",
-    },
-    CodeInfo {
         code: SELF_TIME,
         title: "children's inclusive time exceeds their parent's",
-    },
-    CodeInfo {
-        code: HIST_SHAPE,
-        title: "histogram shape invariant violated",
     },
 ];
 

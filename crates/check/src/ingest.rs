@@ -19,9 +19,7 @@
 //!   set the sector size and the exclusive address bound,
 //! * `.json` — an analyzer findings report (`xtask lint --json`),
 //!   audited against the published schema by the `CHK1101` validator
-//!   in [`crate::analyze`]; files declaring the `commorder-bench`
-//!   schema route to the `CHK12xx` bench-artifact validator in
-//!   [`crate::bench`] instead,
+//!   in [`crate::analyze`],
 //! * `.jsonl` — a `commorder-obs` telemetry stream, audited by the
 //!   `CHK09xx` validators in [`crate::telemetry`].
 
@@ -52,9 +50,6 @@ pub fn check_file_contents(name: &str, contents: &str) -> CheckReport {
         "csr" => report.extend(check_csr_dump(contents)),
         "perm" => report.extend(check_perm_file(contents)),
         "trace" => report.extend(check_trace_file(contents)),
-        "json" if contents.contains("\"commorder-bench") => {
-            report.extend(crate::bench::check_bench_artifact(contents));
-        }
         "json" => report.extend(crate::analyze::check_analyze_report(contents)),
         "jsonl" => report.extend(crate::telemetry::check_telemetry(contents)),
         other => report.extend(vec![parse_error(
@@ -89,6 +84,15 @@ fn check_mtx(contents: &str) -> Vec<Diagnostic> {
                 // First data line: `n_rows n_cols nnz`.
                 let parsed: Option<Vec<u64>> = fields.iter().map(|f| f.parse().ok()).collect();
                 match parsed {
+                    // The strict reader indexes with u32 and refuses
+                    // larger dimensions outright (`TooLarge`).
+                    Some(v) if v.len() == 3 && v[..2].iter().any(|&d| d > u64::from(u32::MAX)) => {
+                        out.push(parse_error(
+                            line_no,
+                            format!("{} x {} exceeds u32 indexing", v[0], v[1]),
+                        ));
+                        return out;
+                    }
                     Some(v) if v.len() == 3 => dims = Some((v[0], v[1], v[2])),
                     _ => {
                         out.push(parse_error(
@@ -126,8 +130,9 @@ fn check_mtx(contents: &str) -> Vec<Diagnostic> {
         out.push(parse_error(0, "no size line found".to_string()));
         return out;
     };
+    // The strict reader rejects a count mismatch, so it is an error here.
     if entries.len() as u64 != nnz {
-        out.push(Diagnostic::warning(
+        out.push(Diagnostic::error(
             PARSE_CODE,
             Location::whole("mtx"),
             format!(
@@ -287,11 +292,25 @@ mod tests {
     }
 
     #[test]
-    fn mtx_entry_count_mismatch_warns() {
+    fn mtx_entry_count_mismatch_is_an_error() {
         let mtx = "%%MatrixMarket matrix coordinate real general\n2 2 5\n1 1 1.0\n";
         let r = check_file_contents("short.mtx", mtx);
-        assert!(r.is_clean());
-        assert_eq!(r.warning_count(), 1);
+        assert!(!r.is_clean(), "{}", r.render_text());
+        assert_eq!(r.codes(), vec![PARSE_CODE]);
+        assert!(r.render_text().contains("header declares 5 entries"));
+    }
+
+    #[test]
+    fn mtx_dimension_beyond_u32_is_an_error() {
+        let mtx = "%%MatrixMarket matrix coordinate real general\n4294967296 3 1\n1 1 1.0\n";
+        let r = check_file_contents("huge.mtx", mtx);
+        assert!(!r.is_clean(), "{}", r.render_text());
+        assert_eq!(r.codes(), vec![PARSE_CODE]);
+        assert!(r.render_text().contains("exceeds u32 indexing"));
+        // The largest representable dimension still passes.
+        let mtx = "%%MatrixMarket matrix coordinate real general\n4294967295 3 1\n1 1 1.0\n";
+        let r = check_file_contents("edge.mtx", mtx);
+        assert!(r.diagnostics.is_empty(), "{}", r.render_text());
     }
 
     #[test]
@@ -340,15 +359,27 @@ mod tests {
     }
 
     #[test]
-    fn bench_artifacts_route_to_the_bench_validator() {
-        let truncated = "{\n  \"schema\": \"commorder-bench.v2\",\n";
-        let r = check_file_contents("BENCH_pipeline.json", truncated);
-        assert!(!r.is_clean());
-        assert!(
-            r.codes().iter().all(|c| c.starts_with("CHK12")),
-            "{}",
-            r.render_text()
+    fn retired_bench_artifacts_are_chk1101_errors() {
+        // `.json` is the analyzer findings report and nothing else: a
+        // document in the retired bench-artifact schema must fail the
+        // findings-report schema check, not pass and not panic.
+        let artifact = concat!(
+            "{\n",
+            "  \"schema\": \"commorder-bench.v2\",\n",
+            "  \"bench\": \"pipeline\",\n",
+            "  \"fingerprints\": [],\n",
+            "  \"metrics\": []\n",
+            "}\n",
         );
+        for contents in [artifact, &artifact[..artifact.len() / 2]] {
+            let r = check_file_contents("bench.json", contents);
+            assert!(!r.is_clean(), "{}", r.render_text());
+            assert!(
+                r.codes().iter().all(|&c| c == codes::ANALYZE_SCHEMA),
+                "{}",
+                r.render_text()
+            );
+        }
     }
 
     #[test]

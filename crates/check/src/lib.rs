@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
-pub mod bench;
 pub mod codes;
 pub mod diag;
 pub mod ingest;
@@ -49,7 +48,6 @@ pub mod telemetry;
 pub mod trace;
 
 pub use analyze::check_analyze_report;
-pub use bench::{check_bench_artifact, check_histogram_shape};
 pub use diag::{CheckReport, Diagnostic, Location, Severity};
 pub use ingest::check_file_contents;
 pub use matrix::{

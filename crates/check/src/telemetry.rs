@@ -163,8 +163,8 @@ impl<'a> Cursor<'a> {
 }
 
 /// Parses one line as a flat JSON object (string keys; string, number,
-/// boolean, or `null` values — the full value set `Event::to_jsonl` and
-/// the bench artifacts emit).
+/// boolean, or `null` values — the full value set `Event::to_jsonl`
+/// emits).
 pub(crate) fn parse_flat_object(line: &str) -> Result<Vec<(String, Json)>, String> {
     let mut cur = Cursor::new(line);
     cur.skip_ws();

@@ -692,6 +692,14 @@ mod tests {
             for &v in &samples {
                 h.add(v);
             }
+            let bucketed: u64 = h.buckets.iter().sum();
+            assert_eq!(bucketed, h.count, "bucket counts must sum to count");
+            assert!(
+                h.min.is_finite() && h.max.is_finite() && h.min <= h.max,
+                "non-empty histogram needs finite min <= max, got [{}, {}]",
+                h.min,
+                h.max
+            );
             let mut sorted = samples.clone();
             sorted.sort_by(f64::total_cmp);
             let (p50, p95, p99) = (h.p50(), h.p95(), h.p99());

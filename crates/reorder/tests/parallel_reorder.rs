@@ -36,8 +36,8 @@ fn techniques() -> Vec<Box<dyn Reordering>> {
     ]
 }
 
-/// FNV-1a over the permutation's new-id array, little-endian — the same
-/// fingerprint `xtask bench` publishes in BENCH_reorder.json.
+/// FNV-1a over the permutation's new-id array, little-endian — the
+/// workspace's permutation fingerprint.
 fn fnv1a(ids: &[u32]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for id in ids {
@@ -49,8 +49,11 @@ fn fnv1a(ids: &[u32]) -> u64 {
     h
 }
 
-fn assert_invariant_on(name: &str) {
+/// Asserts thread-count invariance on corpus entry `name` and returns
+/// each technique's name with its serial permutation fingerprint.
+fn assert_invariant_on(name: &str) -> Vec<(String, u64)> {
     let m = corpus_matrix(name);
+    let mut fingerprints = Vec::new();
     for technique in techniques() {
         let serial = technique.reorder(&m).expect("square corpus matrix");
         for threads in THREAD_COUNTS {
@@ -64,12 +67,29 @@ fn assert_invariant_on(name: &str) {
                 technique.name()
             );
         }
+        fingerprints.push((technique.name().to_string(), fnv1a(serial.as_slice())));
     }
+    fingerprints
 }
 
 #[test]
 fn parallel_permutations_match_serial_on_single_component_entry() {
-    assert_invariant_on("soc-rmat-131k");
+    let got = assert_invariant_on("soc-rmat-131k");
+    // Golden serial fingerprints, as for `kmer-131k` below.
+    let want = [
+        ("RABBIT", 0x7DD1_8AD7_146A_48D1u64),
+        ("RABBIT++", 0xFE57_094B_445D_98B5),
+        ("BOBA", 0x3E15_2420_A19B_4C41),
+    ];
+    assert_eq!(got.len(), want.len());
+    for ((name, got), (technique, want)) in got.into_iter().zip(want) {
+        assert_eq!(name, technique);
+        assert_eq!(
+            got, want,
+            "{technique} serial permutation fingerprint drifted on soc-rmat-131k \
+             (got {got:#018x})"
+        );
+    }
 }
 
 #[test]
